@@ -1,0 +1,14 @@
+"""Put the package sources and the benchmark's modules on ``sys.path``.
+
+Run from the root of a checkout::
+
+    python3 -m pytest -q perfbench/tests
+"""
+
+import sys
+from pathlib import Path
+
+BENCH_DIR = Path(__file__).resolve().parents[1]
+for path in (BENCH_DIR.parent / "src", BENCH_DIR):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
