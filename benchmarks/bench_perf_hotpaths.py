@@ -1128,6 +1128,10 @@ def main(argv=None):
         help="multiply measured current-code times by FACTOR (validates that the gate fires)",
     )
     args = parser.parse_args(argv)
+    if args.check_against is not None and not args.check_against.is_file():
+        # Fail before the run, not after it: a gate without its reference
+        # checks nothing.
+        raise SystemExit("reference file not found: %s" % args.check_against)
 
     if args.smoke:
         # Shrink to CI scale, but let explicit --vertices/--edges win.

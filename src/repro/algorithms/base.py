@@ -72,16 +72,18 @@ def gather_edge_indices(graph: CSRGraph, vertices: np.ndarray) -> tuple[np.ndarr
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
     starts = graph.row_offset[vertices]
     degrees = graph.row_offset[vertices + 1] - starts
-    total = int(degrees.sum())
+    cumulative = degrees.cumsum()
+    total = int(cumulative[-1])
     if total == 0:
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
     # Standard CSR gather: for each vertex, emit starts[v] + 0..deg-1.  One
     # repeat of the per-vertex shift (starts minus the running output
     # offset) added to a single arange produces all edge indices at once.
-    cumulative = np.cumsum(degrees)
-    shifts = np.repeat(starts - (cumulative - degrees), degrees)
+    # (ndarray methods rather than np.* functions: these run once per
+    # task, where the functions' dispatch overhead shows.)
+    shifts = (starts - (cumulative - degrees)).repeat(degrees)
     edge_indices = np.arange(total, dtype=np.int64) + shifts
-    sources = np.repeat(vertices, degrees)
+    sources = vertices.repeat(degrees)
     return edge_indices, sources
 
 

@@ -139,7 +139,7 @@ def _touched_ids(destinations: np.ndarray, num_vertices: int) -> np.ndarray:
     """Unique destination ids via a bitmap (no sort; ascending by construction)."""
     touched = np.zeros(num_vertices, dtype=bool)
     touched[destinations] = True
-    return np.flatnonzero(touched)
+    return touched.nonzero()[0]
 
 
 def _sorted_boundaries(destinations: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -16,11 +16,11 @@ per-kernel-launch and per-transfer overheads stay negligible):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
-from repro.core.selection import SelectionResult
+from repro.core.selection import COMPACTION, ENGINES, FILTER, ZERO_COPY, SelectionResult
 from repro.graph.partition import Partitioning
 from repro.transfer.base import EngineKind
 
@@ -28,8 +28,10 @@ __all__ = ["ScheduledTask", "TaskCombiner"]
 
 DEFAULT_COMBINE_FACTOR = 4
 
+#: Plain string value of each engine kind (``.value`` is a slow enum property).
+ENGINE_VALUE = {kind: kind.value for kind in EngineKind}
 
-@dataclass
+
 class ScheduledTask:
     """One unit of work handed to the asynchronous task scheduler.
 
@@ -45,25 +47,42 @@ class ScheduledTask:
     priority:
         Scheduling priority (lower runs earlier); filled in by the
         contribution-driven scheduler.
+    label:
+        Display name; formatted from the engine and partitions on first
+        read unless given.
     """
 
-    engine: EngineKind
-    partition_indices: list[int]
-    active_vertices: np.ndarray
-    priority: float = 0.0
-    label: str = field(default="")
+    def __init__(
+        self,
+        engine: EngineKind,
+        partition_indices: list[int],
+        active_vertices: np.ndarray,
+        priority: float = 0.0,
+        label: str = "",
+    ):
+        self.engine = engine
+        self.partition_indices = partition_indices
+        self.active_vertices = active_vertices
+        self.priority = priority
+        self._label = label
 
-    def __post_init__(self) -> None:
-        if not self.label:
-            self.label = "%s[%s]" % (
-                self.engine.value,
-                ",".join(str(index) for index in self.partition_indices),
-            )
+    @property
+    def label(self) -> str:
+        """Display name, e.g. ``ExpTM-F[3,4,5]``."""
+        if not self._label:
+            self._label = _format_label(self.engine, tuple(self.partition_indices))
+        return self._label
 
     @property
     def num_active_vertices(self) -> int:
         """Number of active vertices the task processes."""
         return int(self.active_vertices.size)
+
+
+@lru_cache(maxsize=4096)
+def _format_label(engine: EngineKind, partition_indices: tuple[int, ...]) -> str:
+    """A task label; traces name every task and partition runs recur."""
+    return "%s[%s]" % (ENGINE_VALUE[engine], ",".join(map(str, partition_indices)))
 
 
 class TaskCombiner:
@@ -93,75 +112,36 @@ class TaskCombiner:
         if active_ids is None:
             active_ids = np.flatnonzero(np.asarray(active_mask, dtype=bool))
         # Partitions hold consecutive vertex ranges and active_ids is
-        # sorted, so one bisection of the partition boundaries splits the
-        # frontier; each partition's actives are then a plain slice view.
-        boundaries = np.append(partitioning.vertex_starts, partitioning.graph.num_vertices)
-        cuts = np.searchsorted(active_ids, boundaries)
-
-        def active_in(partition_index: int) -> np.ndarray:
-            return active_ids[cuts[partition_index] : cuts[partition_index + 1]]
+        # sorted, so one bisection of the partition starts splits the
+        # frontier; any run of consecutive partitions' actives is then one
+        # plain slice view.
+        cuts = active_ids.searchsorted(partitioning.vertex_starts).tolist()
+        cuts.append(active_ids.size)
+        codes = selection.codes
 
         if not self.enabled:
-            tasks = []
-            for index, choice in enumerate(selection.choices):
-                if choice is None:
-                    continue
-                tasks.append(
-                    ScheduledTask(engine=choice, partition_indices=[index], active_vertices=active_in(index))
-                )
-            return tasks
+            return [
+                ScheduledTask(ENGINES[codes[index]], [index], active_ids[cuts[index] : cuts[index + 1]])
+                for index in (codes >= 0).nonzero()[0].tolist()
+            ]
 
+        # --- ExpTM-filter: runs of consecutive partitions, cut every k ----
+        filters = (codes == FILTER).nonzero()[0]
+        run_starts = (((filters[1:] - filters[:-1]) != 1).nonzero()[0] + 1).tolist()
+        filters = filters.tolist()
         tasks: list[ScheduledTask] = []
+        for run_start, run_end in zip([0, *run_starts], [*run_starts, len(filters)]):
+            for first in range(run_start, run_end, self.combine_factor):
+                members = filters[first : min(first + self.combine_factor, run_end)]
+                vertices = active_ids[cuts[members[0]] : cuts[members[-1] + 1]]
+                tasks.append(ScheduledTask(EngineKind.EXP_FILTER, members, vertices))
 
-        # --- ExpTM-filter: merge up to k consecutive partitions -----------
-        filter_partitions = selection.partitions_using(EngineKind.EXP_FILTER)
-        current: list[int] = []
-        previous_index: int | None = None
-        for index in filter_partitions:
-            consecutive = previous_index is not None and index == previous_index + 1
-            if current and (not consecutive or len(current) >= self.combine_factor):
-                tasks.append(self._make_filter_task(current, active_in))
-                current = []
-            current.append(index)
-            previous_index = index
-        if current:
-            tasks.append(self._make_filter_task(current, active_in))
-
-        # --- ExpTM-compaction: one combined task ---------------------------
-        compaction_partitions = selection.partitions_using(EngineKind.EXP_COMPACTION)
-        if compaction_partitions:
-            # Partition indices ascend and partitions hold consecutive vertex
-            # ranges, so the concatenation is already sorted.
-            vertices = np.concatenate([active_in(index) for index in compaction_partitions])
-            tasks.append(
-                ScheduledTask(
-                    engine=EngineKind.EXP_COMPACTION,
-                    partition_indices=list(compaction_partitions),
-                    active_vertices=vertices,
-                    label="ExpTM-C[combined:%d]" % len(compaction_partitions),
-                )
-            )
-
-        # --- ImpTM-zero-copy: one combined task ----------------------------
-        zero_copy_partitions = selection.partitions_using(EngineKind.IMP_ZERO_COPY)
-        if zero_copy_partitions:
-            vertices = np.concatenate([active_in(index) for index in zero_copy_partitions])
-            tasks.append(
-                ScheduledTask(
-                    engine=EngineKind.IMP_ZERO_COPY,
-                    partition_indices=list(zero_copy_partitions),
-                    active_vertices=vertices,
-                    label="ImpTM-ZC[combined:%d]" % len(zero_copy_partitions),
-                )
-            )
+        # --- ExpTM-compaction, then ImpTM-zero-copy: one task each --------
+        for code, label in ((COMPACTION, "ExpTM-C[combined:%d]"), (ZERO_COPY, "ImpTM-ZC[combined:%d]")):
+            members = (codes == code).nonzero()[0].tolist()
+            if members:
+                # Partition indices ascend and partitions hold consecutive
+                # vertex ranges, so the concatenation is already sorted.
+                vertices = np.concatenate([active_ids[cuts[index] : cuts[index + 1]] for index in members])
+                tasks.append(ScheduledTask(ENGINES[code], members, vertices, label=label % len(members)))
         return tasks
-
-    def _make_filter_task(self, partition_indices: list[int], active_in) -> ScheduledTask:
-        # Filter tasks merge consecutive partitions, so the concatenated
-        # active ids are already in ascending order.
-        vertices = np.concatenate([active_in(index) for index in partition_indices])
-        return ScheduledTask(
-            engine=EngineKind.EXP_FILTER,
-            partition_indices=list(partition_indices),
-            active_vertices=vertices,
-        )

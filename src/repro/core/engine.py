@@ -38,15 +38,16 @@ whole-partition transfers across queries.
 
 Performance architecture
 ------------------------
-The engine is built around a partition-local frontier fast path: tasks
-cover contiguous partition vertex ranges, so pending vertices are found
-with slice views + ``np.flatnonzero`` (never an O(|V|) per-task boolean
-mask), each task's sorted active-vertex array is split across partitions
-by bisection, transfers are priced with one vectorised
-:meth:`~repro.transfer.base.TransferEngine.transfer_task` call, and one
-frontier scan per iteration feeds the iteration stats, the cost model and
-the task combiner.  The per-edge scatter work itself lives in the shared
-kernel layer (:mod:`repro.core.kernels`); ``benchmarks/bench_perf_hotpaths.py``
+Everything around ``program.process`` (which runs task by task, in
+order) is array-shaped: one frontier scan per iteration feeds the stats,
+the cost model and the combiner; selection is one vectorised α/β rule
+over an int8 engine-code array, from which the combiner cuts filter runs
+(task labels are formatted only if a trace reads them); per-partition
+columns built once give each task its contiguous vertex ranges (slice
+views, never an O(|V|) mask) and its filter copy prices; and one scan
+(:func:`~repro.sim.streams.schedule_tasks`) places the stream tasks.
+The per-edge scatter work lives in the kernel layer
+(:mod:`repro.core.kernels`); ``benchmarks/bench_perf_hotpaths.py``
 measures both layers against the seed implementation.
 """
 
@@ -57,10 +58,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from repro.algorithms.base import ProgramState, VertexProgram
-from repro.core.combiner import ScheduledTask, TaskCombiner
+from repro.core.combiner import ENGINE_VALUE, ScheduledTask, TaskCombiner
 from repro.core.cost_model import CostModel
 from repro.core.priority import ContributionScheduler
-from repro.core.selection import EngineSelector, SelectionResult, SelectionThresholds
+from repro.core.selection import FILTER, EngineSelector, SelectionResult, SelectionThresholds
 from repro.graph.csr import CSRGraph
 from repro.graph.partition import (
     DeviceShard,
@@ -187,15 +188,21 @@ class HyTGraphEngine:
             self.graph, self.partitioning, enabled=self.options.contribution_scheduling
         )
         self.kernel_model = KernelModel(self.config)
-        # The raw single-device stream scheduler is kept for the perf
-        # harness's seed-baseline mode, which restores the pre-runtime
-        # iteration loop; the engine itself schedules via the context.
+        # Only the perf harness's seed-baseline mode (bench_perf_hotpaths.py)
+        # schedules here; the engine itself schedules via the context.
         self.stream_scheduler = StreamScheduler(self.config)
         self.engines: dict[EngineKind, TransferEngine] = {
             EngineKind.EXP_FILTER: ExplicitFilterEngine(self.graph, self.config),
             EngineKind.EXP_COMPACTION: ExplicitCompactionEngine(self.graph, self.config),
             EngineKind.IMP_ZERO_COPY: ZeroCopyEngine(self.graph, self.config),
         }
+        # Per-partition columns, read per task instead of partition objects.
+        self._partitions = list(self.partitioning)
+        self._vertex_start = [partition.vertex_start for partition in self._partitions]
+        self._vertex_end = [partition.vertex_end for partition in self._partitions]
+        self._edge_bytes = [partition.edge_bytes for partition in self._partitions]
+        copy_time = self.engines[EngineKind.EXP_FILTER].pcie.explicit_copy_time
+        self._copy_seconds = [copy_time(edge_bytes) for edge_bytes in self._edge_bytes]
 
         # Device-agnostic execution runtime: shards, the device-memory
         # cache and the shared-host scheduler.  One device is the
@@ -348,7 +355,7 @@ class HyTGraphEngine:
         # One frontier scan per iteration: the id array feeds the stats,
         # the cost model and the task combiner (the seed engine rescanned
         # the |V| mask in each of those places).
-        active_ids = np.flatnonzero(pending)
+        active_ids = pending.nonzero()[0]
         active_vertex_count = int(active_ids.size)
         active_edge_count = int(graph.out_degrees[active_ids].sum())
 
@@ -356,7 +363,7 @@ class HyTGraphEngine:
         # partitions carry no active edges), so handle them directly: the
         # push is a no-op for traversal algorithms and simply folds the
         # residual for accumulative ones.
-        sinks = np.flatnonzero(pending & self._sink_mask)
+        sinks = (pending & self._sink_mask).nonzero()[0]
         if sinks.size:
             pending[sinks] = False
             program.process(graph, state, sinks)
@@ -403,10 +410,11 @@ class HyTGraphEngine:
                 processed_edges, remote_count = self._execute_task(task, program, state, pending, shard)
                 outcome = self._account_task_transfer(task, shared)
                 kernel_time = self.kernel_model.kernel_time(processed_edges, num_kernels=1)
+                engine = ENGINE_VALUE[task.engine]
                 stream_task_lists[device].append(
                     StreamTask(
-                        name=task.label,
-                        engine=task.engine.value,
+                        name=task,  # its label is formatted only if a trace reads it
+                        engine=engine,
                         cpu_time=outcome.cpu_time,
                         transfer_time=outcome.transfer_time,
                         kernel_time=kernel_time,
@@ -418,7 +426,7 @@ class HyTGraphEngine:
                 remote_updates[device] += remote_count
                 total_transfer_bytes += outcome.bytes_transferred
                 total_processed_edges += processed_edges
-                engine_task_counts[task.engine.value] = engine_task_counts.get(task.engine.value, 0) + 1
+                engine_task_counts[engine] = engine_task_counts.get(engine, 0) + 1
 
         stats = IterationStats(
             index=iteration,
@@ -472,11 +480,9 @@ class HyTGraphEngine:
         cache = self.context.cache
         if cache is None or not cache.resident.any():
             return selection
-        choices = list(selection.choices)
-        for index in np.flatnonzero(cache.resident):
-            if choices[index] is not None:
-                choices[index] = EngineKind.EXP_FILTER
-        return SelectionResult(choices=choices)
+        codes = selection.codes.copy()
+        codes[cache.resident & (codes >= 0)] = FILTER
+        return SelectionResult(codes=codes)
 
     def _device_tasks(
         self,
@@ -495,10 +501,10 @@ class HyTGraphEngine:
             # no masking needed.
             shard_selection, shard_active = selection, active_ids
         else:
-            shard_choices: list[EngineKind | None] = [None] * self.partitioning.num_partitions
-            for index in shard.partition_indices():
-                shard_choices[index] = selection.choices[index]
-            shard_selection = SelectionResult(choices=shard_choices)
+            codes = np.full_like(selection.codes, -1)
+            shard_range = slice(shard.partition_start, shard.partition_end)
+            codes[shard_range] = selection.codes[shard_range]
+            shard_selection = SelectionResult(codes=codes)
             shard_active = active_ids[
                 np.searchsorted(active_ids, shard.vertex_start) : np.searchsorted(active_ids, shard.vertex_end)
             ]
@@ -515,15 +521,15 @@ class HyTGraphEngine:
         is ascending, so adjacent partitions merge into one range.  The
         ranges replace the per-task ``|V|``-sized boolean masks the seed
         engine allocated: every frontier query below is a slice view plus
-        ``np.flatnonzero`` on the slice, i.e. O(range size) not O(|V|).
+        ``nonzero`` on the slice, i.e. O(range size) not O(|V|).
         """
+        starts, ends = self._vertex_start, self._vertex_end
         ranges: list[tuple[int, int]] = []
         for index in task.partition_indices:
-            partition = self.partitioning[index]
-            if ranges and ranges[-1][1] == partition.vertex_start:
-                ranges[-1] = (ranges[-1][0], partition.vertex_end)
+            if ranges and ranges[-1][1] == starts[index]:
+                ranges[-1] = (ranges[-1][0], ends[index])
             else:
-                ranges.append((partition.vertex_start, partition.vertex_end))
+                ranges.append((starts[index], ends[index]))
         return ranges
 
     @staticmethod
@@ -531,8 +537,8 @@ class HyTGraphEngine:
         """Sorted pending vertex ids inside the given ranges (slice-local scan)."""
         if len(ranges) == 1:
             start, end = ranges[0]
-            return np.flatnonzero(pending[start:end]) + start
-        chunks = [np.flatnonzero(pending[start:end]) + start for start, end in ranges]
+            return pending[start:end].nonzero()[0] + start
+        chunks = [pending[start:end].nonzero()[0] + start for start, end in ranges]
         return np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.int64)
 
     def _execute_task(
@@ -594,15 +600,14 @@ class HyTGraphEngine:
     # ------------------------------------------------------------------
     def _account_transfer(self, task: ScheduledTask):
         """Price the data movement of one task with its transfer engine."""
-        engine = self.engines[task.engine]
-        partitions = [self.partitioning[index] for index in task.partition_indices]
-        active = task.active_vertices
+        indices = task.partition_indices
         # active_vertices is sorted, so each partition's slice is found by
         # bisection instead of two boolean compares over the whole array.
-        boundaries = [partition.vertex_start for partition in partitions]
-        boundaries.append(partitions[-1].vertex_end)
-        cuts = np.searchsorted(active, boundaries)
-        return engine.transfer_task(partitions, active, cuts)
+        boundaries = [self._vertex_start[index] for index in indices]
+        boundaries.append(self._vertex_end[indices[-1]])
+        cuts = np.searchsorted(task.active_vertices, boundaries)
+        partitions = [self._partitions[index] for index in indices]
+        return self.engines[task.engine].transfer_task(partitions, task.active_vertices, cuts)
 
     def _account_task_transfer(
         self, task: ScheduledTask, shared: SharedTransferState | None = None
@@ -627,17 +632,12 @@ class HyTGraphEngine:
         if cache is not None:
             billable = cache.claim_billable(task.partition_indices, shared)
         else:
-            billable = shared.claim_partitions(
-                list(task.partition_indices),
-                lambda index: self.partitioning[index].edge_bytes,
-            )
-        engine = self.engines[EngineKind.EXP_FILTER]
+            billable = shared.claim_partitions(task.partition_indices, self._edge_bytes.__getitem__)
         bytes_total = 0
         transfer_time = 0.0
         for index in billable:
-            edge_bytes = self.partitioning[index].edge_bytes
-            bytes_total += edge_bytes
-            transfer_time += engine.pcie.explicit_copy_time(edge_bytes)
+            bytes_total += self._edge_bytes[index]
+            transfer_time += self._copy_seconds[index]
         return TransferOutcome(
             engine=EngineKind.EXP_FILTER,
             bytes_transferred=bytes_total,

@@ -26,10 +26,16 @@ import numpy as np
 from repro.core.cost_model import PartitionCosts
 from repro.transfer.base import EngineKind
 
-__all__ = ["SelectionThresholds", "SelectionResult", "EngineSelector"]
+__all__ = ["SelectionThresholds", "SelectionResult", "EngineSelector", "ENGINES"]
 
 DEFAULT_ALPHA = 0.8
 DEFAULT_BETA = 0.4
+
+#: Engine of each selection code; code -1 marks an inactive partition.
+ENGINES = tuple(EngineKind)
+FILTER, COMPACTION, ZERO_COPY = map(
+    ENGINES.index, (EngineKind.EXP_FILTER, EngineKind.EXP_COMPACTION, EngineKind.IMP_ZERO_COPY)
+)
 
 
 @dataclass(frozen=True)
@@ -46,30 +52,40 @@ class SelectionThresholds:
             raise ValueError("beta must be in (0, 1]")
 
 
-@dataclass(frozen=True)
 class SelectionResult:
     """Chosen engine per partition for one iteration.
 
-    ``choices[i]`` is ``None`` for inactive partitions, otherwise one of
-    the three :class:`~repro.transfer.base.EngineKind` values HyTGraph
-    mixes (unified memory is never selected by the hybrid runtime —
-    Section IV explains why it is excluded as a baseline engine).
+    ``codes[i]`` is partition ``i``'s engine as an int8 index into
+    :data:`ENGINES`, -1 for inactive partitions.  HyTGraph only mixes
+    three engines (unified memory is never selected by the hybrid
+    runtime — Section IV explains why it is excluded as a baseline
+    engine).  Build one from ``choices`` (one
+    :class:`~repro.transfer.base.EngineKind` or ``None`` per partition)
+    or directly from ``codes``.
     """
 
-    choices: list[EngineKind | None]
+    def __init__(self, choices=None, codes: np.ndarray | None = None):
+        if codes is None:
+            codes = np.array([-1 if c is None else ENGINES.index(c) for c in choices], np.int8)
+        self.codes = codes
+
+    @property
+    def choices(self) -> list[EngineKind | None]:
+        """The engine of every partition (``None`` when inactive)."""
+        return [ENGINES[code] if code >= 0 else None for code in self.codes.tolist()]
 
     def partitions_using(self, engine: EngineKind) -> list[int]:
         """Indices of partitions that selected ``engine``."""
-        return [index for index, choice in enumerate(self.choices) if choice == engine]
+        return np.flatnonzero(self.codes == ENGINES.index(engine)).tolist()
 
     def counts(self) -> dict[str, int]:
-        """Number of active partitions per selected engine (Figure 7a/b)."""
-        totals: dict[str, int] = {}
-        for choice in self.choices:
-            if choice is None:
-                continue
-            totals[choice.value] = totals.get(choice.value, 0) + 1
-        return totals
+        """Number of active partitions per selected engine (Figure 7a/b).
+
+        Keys appear in order of each engine's first partition.
+        """
+        active = self.codes[self.codes >= 0]
+        tallies = np.bincount(active, minlength=len(ENGINES)).tolist()
+        return {ENGINES[code].value: tallies[code] for code in dict.fromkeys(active.tolist())}
 
 
 class EngineSelector:
@@ -80,23 +96,11 @@ class EngineSelector:
 
     def select(self, costs: PartitionCosts) -> SelectionResult:
         """Pick the most cost-efficient engine for every active partition."""
-        alpha = self.thresholds.alpha
-        beta = self.thresholds.beta
-        choices: list[EngineKind | None] = []
-        for index in range(costs.num_partitions):
-            if costs.active_edges[index] <= 0:
-                choices.append(None)
-                continue
-            tef = float(costs.filter_cost[index])
-            tec = float(costs.compaction_cost[index])
-            tiz = float(costs.zero_copy_cost[index])
-            if tec < alpha * tef and tec < beta * tiz:
-                choices.append(EngineKind.EXP_COMPACTION)
-            elif tiz < tef:
-                choices.append(EngineKind.IMP_ZERO_COPY)
-            else:
-                choices.append(EngineKind.EXP_FILTER)
-        return SelectionResult(choices=choices)
+        tef, tec, tiz = costs.filter_cost, costs.compaction_cost, costs.zero_copy_cost
+        codes = np.where(tiz < tef, ZERO_COPY, FILTER).astype(np.int8)
+        codes[(tec < self.thresholds.alpha * tef) & (tec < self.thresholds.beta * tiz)] = COMPACTION
+        codes[costs.active_edges <= 0] = -1
+        return SelectionResult(codes=codes)
 
     def select_single(self, filter_cost: float, compaction_cost: float, zero_copy_cost: float) -> EngineKind:
         """Selection rule for a single partition (convenience for tests)."""

@@ -175,7 +175,7 @@ class FaultInjector:
                     {
                         "super_iteration": self._super - 1,
                         "kind": FaultKind.TRANSFER_FLAKY.value,
-                        "task": task.name,
+                        "task": task.label,
                         "device": device,
                         "attempts": attempts,
                         "permanent": permanent,
@@ -184,33 +184,20 @@ class FaultInjector:
                 tasks[position] = replace(
                     task, transfer_time=task.transfer_time + extra, attempts=attempts
                 )
-                query = self._query_of(task.name)
+                owner = task.owner
                 if self.tracer.enabled:
                     self.tracer.instant(
-                        "fault", "retry", track="faults", task=task.name,
+                        "fault", "retry", track="faults", task=task.label,
                         device=device, attempts=attempts, permanent=permanent,
                         retry_time_s=extra,
                     )
-                    track = (
-                        self.trace_tracks[query]
-                        if self.trace_tracks is not None and query is not None
-                        else None
-                    )
+                    track = self.trace_tracks[owner] if self.trace_tracks and owner >= 0 else None
                     if track is not None:
                         self.tracer.instant(
-                            "fault", "retry", track=track, task=task.name,
+                            "fault", "retry", track=track, task=task.label,
                             device=device, attempts=attempts, permanent=permanent,
                             retry_time_s=extra,
                         )
-                if permanent:
-                    if query is not None:
-                        failures[query] = max(failures.get(query, 0), attempts)
+                if permanent and owner >= 0:
+                    failures[owner] = max(failures.get(owner, 0), attempts)
         return failures
-
-    @staticmethod
-    def _query_of(task_name: str) -> int | None:
-        """The owning query index from a merged task's ``q<i>|`` prefix."""
-        head, sep, _ = task_name.partition("|")
-        if not sep or not head.startswith("q") or not head[1:].isdigit():
-            return None
-        return int(head[1:])

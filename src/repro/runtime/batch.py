@@ -51,7 +51,6 @@ are what the serving layer's priority/SLA machinery consumes.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Callable, Sequence
 
 from repro.algorithms.base import VertexProgram
@@ -415,18 +414,23 @@ class QueryBatchRunner:
             overhead = 0.0
             for index, plan in plans:
                 session = sessions[index]
-                sync_bytes = context.sync_bytes(plan.remote_updates)
-                for device in range(context.num_devices):
-                    merged_tasks[device].extend(
-                        self._tag_task(task, index, offsets[index])
-                        for task in plan.device_tasks[device]
-                    )
-                    merged_sync[device] += sync_bytes[device]
-                overhead += plan.overhead_time
                 # Per-query statistics: the query's own tasks scheduled
                 # alone (its standalone cost given the shared warm state).
                 session.result.iterations.append(driver.finish(plan))
                 session.iteration += 1
+                # Then its tasks join the merged co-schedule, owned by the
+                # query; a zero class offset leaves priorities untouched.
+                offset = offsets[index]
+                sync_bytes = context.sync_bytes(plan.remote_updates)
+                for device in range(context.num_devices):
+                    tasks = plan.device_tasks[device]
+                    for task in tasks:
+                        task.owner = index
+                        if offset:
+                            task.priority = offset + task.priority
+                    merged_tasks[device].extend(tasks)
+                    merged_sync[device] += sync_bytes[device]
+                overhead += plan.overhead_time
 
             if injector is not None:
                 # Transient transfer faults: retries and backoff are
@@ -449,7 +453,9 @@ class QueryBatchRunner:
             # Batch wall-clock: all live queries' tasks co-scheduled on the
             # shared devices, one boundary exchange for their merged deltas.
             timeline = context.schedule(merged_tasks, merged_sync)
-            finish_times = self._per_query_finish(timeline)
+            # Collective entries (the boundary sync) belong to the batch,
+            # not to any query, so they end no query's iteration.
+            finish_times = timeline.finish
             scale = context.time_scale
             if tracing:
                 super_start = trace_base + makespan
@@ -602,20 +608,6 @@ class QueryBatchRunner:
     # Merged-schedule helpers
     # ------------------------------------------------------------------
     @staticmethod
-    def _tag_task(task, query_index: int, priority_offset: float):
-        """Copy a stream task into the merged co-schedule.
-
-        The copy carries a ``q<index>|`` name prefix so per-query finish
-        times can be read back out of the merged timeline, and — under
-        priority scheduling — its class offset added to the task
-        priority.  A zero offset leaves the priority field untouched, so
-        FIFO merges schedule bit-for-bit like the untagged historical
-        path (names never influence scheduling).
-        """
-        priority = task.priority if not priority_offset else priority_offset + task.priority
-        return replace(task, name="q%d|%s" % (query_index, task.name), priority=priority)
-
-    @staticmethod
     def _emit_device_spans(tracer, tracks, timeline, start_s: float, scale: float):
         """Replay one merged co-schedule onto the device trace lanes.
 
@@ -627,12 +619,9 @@ class QueryBatchRunner:
         """
         busy: dict[int, dict[str, float]] = {}
         for entry in timeline.entries:
-            head, sep, _ = entry.name.partition("|")
-            owner = None
-            if sep and head.startswith("q") and head[1:].isdigit():
-                owner = int(head[1:])
+            owner = entry.owner
             for span in entry.spans:
-                if owner is not None:
+                if owner >= 0:
                     resources = busy.setdefault(owner, {})
                     resources[span.resource] = (
                         resources.get(span.resource, 0.0) + (span.end - span.start) * scale
@@ -650,21 +639,3 @@ class QueryBatchRunner:
                     engine=entry.engine, stream=entry.stream,
                 )
         return busy
-
-    @staticmethod
-    def _per_query_finish(timeline) -> dict[int, float]:
-        """Latest task end per query in a merged timeline.
-
-        Collective entries (the boundary sync) carry no ``q<index>|`` tag
-        and are excluded: they belong to the batch, not to any query.
-        """
-        finish: dict[int, float] = {}
-        for entry in timeline.entries:
-            head, sep, _ = entry.name.partition("|")
-            if not sep or not head.startswith("q") or not head[1:].isdigit():
-                continue
-            index = int(head[1:])
-            end = entry.end
-            if end > finish.get(index, 0.0):
-                finish[index] = end
-        return finish

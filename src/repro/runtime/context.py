@@ -14,13 +14,14 @@ scheduler emits no boundary-synchronisation entry.  That makes the
 sharded execution path bitwise identical to the historical single-device
 engines while deleting their ``run``/``_run_multi`` twin code.
 
-:class:`MultiDeviceScheduler` (formerly ``repro.sim.multi_gpu``) runs one
-:class:`~repro.sim.streams.StreamScheduler` per device.  The schedulers
-contend for two *shared host* resources — the CPU compaction engine and
-the host PCIe complex (every explicit copy and zero-copy read crosses the
-same root complex) — while each device brings its own GPU and its own
-CUDA streams.  Tasks from different devices are interleaved in global
-priority order, which models all devices making progress concurrently.
+:class:`MultiDeviceScheduler` (formerly ``repro.sim.multi_gpu``) places
+every device's tasks in one scan (:func:`~repro.sim.streams.schedule_tasks`).
+The devices contend for two *shared host* resources — the CPU compaction
+engine and the host PCIe complex (every explicit copy and zero-copy read
+crosses the same root complex) — while each device brings its own GPU
+and its own CUDA streams.  Tasks from different devices are interleaved
+in global priority order, which models all devices making progress
+concurrently.
 
 Every multi-device iteration ends with a **boundary synchronisation
 phase**: devices exchange the delta updates they produced for vertices
@@ -41,18 +42,12 @@ import numpy as np
 from repro.graph.csr import CSRGraph
 from repro.graph.partition import Partitioning, ShardedPartitioning
 from repro.sim.config import HardwareConfig
-from repro.sim.events import (
-    INTERCONNECT_RESOURCE,
-    SYNC_ENGINE,
-    StageSpan,
-    Timeline,
-    TimelineEntry,
-)
+from repro.sim.events import Timeline
 from repro.cache.manager import CacheManager
 from repro.core.backends import KernelBackend, active_backend, resolve_backend
 from repro.obs.tracer import NULL_TRACER
 from repro.sim.kernel import KernelModel
-from repro.sim.streams import ResourceState, StreamScheduler, StreamTask
+from repro.sim.streams import StreamTask, schedule_tasks
 from repro.transfer.residency import ShardResidency
 
 __all__ = ["ExecutionContext", "MultiDeviceScheduler"]
@@ -66,8 +61,6 @@ class MultiDeviceScheduler:
         self.num_devices = num_devices if num_devices is not None else config.num_devices
         if self.num_devices < 1:
             raise ValueError("num_devices must be at least 1")
-        #: One stream scheduler per device, as on real multi-GPU hosts.
-        self.device_schedulers = [StreamScheduler(config) for _ in range(self.num_devices)]
         #: Multiplicative boundary-exchange slowdown (>= 1; the fault
         #: injector's ``interconnect-degrade`` raises it mid-run).
         self.interconnect_slowdown = 1.0
@@ -108,39 +101,8 @@ class MultiDeviceScheduler:
             raise ValueError(
                 "expected %d device task lists, got %d" % (self.num_devices, len(device_tasks))
             )
-
-        merged: list[tuple[float, int, int, StreamTask]] = []
-        for device, tasks in enumerate(device_tasks):
-            for position, task in enumerate(tasks):
-                merged.append((task.priority, position, device, task))
-        merged.sort(key=lambda item: item[:3])
-
-        cpu = ResourceState()
-        pcie = ResourceState()
-        gpus = [ResourceState() for _ in range(self.num_devices)]
-        stream_free = [[0.0] * self.config.num_streams for _ in range(self.num_devices)]
-        timeline = Timeline()
-
-        for _, _, device, task in merged:
-            timeline.entries.append(
-                self.device_schedulers[device].place(
-                    task, stream_free[device], cpu, pcie, gpus[device], device=device
-                )
-            )
-
-        if self.num_devices > 1:
-            start = timeline.makespan
-            duration = self.sync_duration(sync_bytes_per_device)
-            timeline.entries.append(
-                TimelineEntry(
-                    name="boundary-sync",
-                    engine=SYNC_ENGINE,
-                    stream=0,
-                    spans=(StageSpan(INTERCONNECT_RESOURCE, start, start + duration),),
-                    device=-1,
-                )
-            )
-        return timeline
+        sync = self.sync_duration(sync_bytes_per_device) if self.num_devices > 1 else None
+        return schedule_tasks(device_tasks, self.config.num_streams, sync)
 
 
 class ExecutionContext:

@@ -13,7 +13,7 @@ boundary-synchronisation entry occupying the ``"interconnect"`` resource
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 __all__ = ["StageSpan", "TimelineEntry", "Timeline", "INTERCONNECT_RESOURCE", "SYNC_ENGINE"]
 
@@ -24,8 +24,7 @@ INTERCONNECT_RESOURCE = "interconnect"
 SYNC_ENGINE = "sync"
 
 
-@dataclass(frozen=True)
-class StageSpan:
+class StageSpan(NamedTuple):
     """One resource occupancy interval: ``[start, end)`` seconds on ``resource``."""
 
     resource: str
@@ -38,13 +37,13 @@ class StageSpan:
         return self.end - self.start
 
 
-@dataclass(frozen=True)
-class TimelineEntry:
-    """Scheduling record of one task.
+class TimelineEntry(NamedTuple):
+    """Scheduling record of one task (an immutable record, cheap to build).
 
     ``device`` is the GPU the task ran on (0 on single-device runs; -1
     marks collective entries such as the boundary synchronisation, which
-    involve every device).
+    involve every device).  ``owner`` is the index of the batch query the
+    task belongs to (-1 for unowned tasks and collective entries).
     """
 
     name: str
@@ -52,6 +51,7 @@ class TimelineEntry:
     stream: int
     spans: tuple[StageSpan, ...]
     device: int = 0
+    owner: int = -1
 
     @property
     def start(self) -> float:
@@ -68,20 +68,31 @@ class TimelineEntry:
         return sum(span.duration for span in self.spans if span.resource == resource)
 
 
-@dataclass
 class Timeline:
-    """The full schedule of one iteration."""
+    """The full schedule of one iteration: aggregates from the scheduler's scan,
+    per-task :attr:`entries` appended by ``build(entries)`` only when first read."""
 
-    entries: list[TimelineEntry] = field(default_factory=list)
+    def __init__(self, makespan=0.0, busy=None, finish=None, build=None):
+        #: End-to-end wall-clock time of the schedule.
+        self.makespan = makespan
+        self._busy = busy or {}
+        #: Latest task end per owning batch query (absent: stage-less owners).
+        self.finish: dict[int, float] = finish or {}
+        self._build = build
+        self._entries: list[TimelineEntry] | None = None
 
     @property
-    def makespan(self) -> float:
-        """End-to-end wall-clock time of the schedule."""
-        return max((entry.end for entry in self.entries), default=0.0)
+    def entries(self) -> list[TimelineEntry]:
+        """One record per task in placement order, then any collective entry."""
+        if self._entries is None:
+            self._entries = []
+            if self._build is not None:
+                self._build(self._entries)
+        return self._entries
 
     def busy_time(self, resource: str) -> float:
         """Total busy seconds of a resource across all tasks."""
-        return sum(entry.time_on(resource) for entry in self.entries)
+        return self._busy.get(resource, 0)
 
     def per_engine_time(self) -> dict[str, float]:
         """Sum of task durations grouped by transfer engine."""

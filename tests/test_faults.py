@@ -373,6 +373,41 @@ def test_exhausted_retries_fail_the_query_typed(graph, config):
         assert not result.converged
 
 
+class _ScriptedDraws:
+    """Injector RNG stand-in: ``succeed`` clean draws, then one permanent failure."""
+
+    def __init__(self, succeed: int, failures: int):
+        self.draws = [1.0] * succeed + [0.0] * failures
+
+    def random(self) -> float:
+        return self.draws.pop(0) if self.draws else 1.0
+
+
+def test_permanent_transfer_fault_fails_exactly_its_owner(graph, config):
+    clean = run_batch(HyTGraphSystem, graph, config, "sssp", 1)
+    injector = FaultInjector(FaultSchedule.parse("transfer-flaky:p=0.5"))
+    # Every transfer-carrying merged task draws until it succeeds; the
+    # third one in walk order -- query 2's first task of the first
+    # super-iteration -- exhausts its retries.
+    injector._rng = _ScriptedDraws(succeed=2, failures=RetryPolicy().max_attempts)
+    queries = [(make_algorithm("sssp"), source) for source in (0, 7, 19)]
+    faulted = QueryBatchRunner(HyTGraphSystem(graph, config.with_devices(1))).run(
+        queries, injector=injector
+    )
+
+    permanent = [event for event in faulted.extra["fault_events"] if event.get("permanent")]
+    assert [event["task"] for event in permanent] == ["q2|ImpTM-ZC[combined:1]"]
+    failed = [index for index, result in enumerate(faulted.results) if "fault_status" in result.extra]
+    assert failed == [2]
+    assert faulted.results[2].extra["fault_attempts"] == RetryPolicy().max_attempts
+    for reference, result in zip(clean.results[:2], faulted.results[:2]):
+        assert result.converged
+        assert np.array_equal(reference.values, result.values)
+    # Every retry event keeps the merged ``q<i>|<label>`` task name.
+    assert all(event["task"].startswith("q") and "|" in event["task"]
+               for event in faulted.extra["fault_events"] if event["kind"] == "transfer-flaky")
+
+
 def test_deadline_cancellation_is_typed(graph, config):
     clean = run_batch(HyTGraphSystem, graph, config, "sssp", 1)
     generous = clean.makespan * 10
